@@ -9,6 +9,7 @@ package kremlin_test
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"kremlin"
@@ -368,41 +369,58 @@ func BenchmarkDispatchHCPA(b *testing.B) {
 // TestVMHotPathAllocs proves the VM dispatch loop allocates nothing per
 // step: total allocations for a run must not grow with the step count
 // (fixed setup allocations — machine, globals, register file — are the
-// same for both programs; only the loop trip count differs).
+// same for both programs; only the loop trip count differs). The HCPA arm
+// runs the same loop through a helper call, so it also covers call frames,
+// argument vectors, and dictionary interning on region exit.
 func TestVMHotPathAllocs(t *testing.T) {
-	mk := func(iters int) *kremlin.Program {
+	mk := func(iters int, body string) *kremlin.Program {
 		src := fmt.Sprintf(`
 int a[256];
+int term(int i) { return a[i] * 3 - a[i-1] %% 7; }
 void main() {
 	for (int i = 0; i < 256; i++) { a[i] = i; }
 	int s = 0;
 	for (int r = 0; r < %d; r++) {
 		for (int i = 1; i < 256; i++) {
-			s = s + a[i] * 3 - a[i-1] %% 7;
+			s = s + %s;
 		}
 	}
 	print(s);
-}`, iters)
+}`, iters, body)
 		prog, err := kremlin.Compile("allocs.kr", src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return prog
 	}
-	measure := func(p *kremlin.Program) float64 {
-		if _, err := p.Run(nil); err != nil { // warm the bytecode cache
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := p.Run(nil); err != nil {
+	measure := func(p *kremlin.Program, hcpa bool) float64 {
+		run := func() {
+			var err error
+			if hcpa {
+				_, _, err = p.Profile(&kremlin.RunConfig{Out: io.Discard})
+			} else {
+				_, err = p.Run(nil)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		run() // warm the bytecode cache
+		return testing.AllocsPerRun(5, run)
 	}
-	small := measure(mk(10))
-	big := measure(mk(2000)) // ~200× the steps
-	if big > small+0.5 {
-		t.Errorf("VM allocations scale with steps: %v allocs at 10 iters, %v at 2000", small, big)
+	for _, arm := range []struct {
+		name string
+		body string
+		hcpa bool
+	}{
+		{"plain", "a[i] * 3 - a[i-1] % 7", false},
+		{"hcpa", "term(i)", true},
+	} {
+		small := measure(mk(10, arm.body), arm.hcpa)
+		big := measure(mk(2000, arm.body), arm.hcpa) // ~200× the steps
+		if big > small+0.5 {
+			t.Errorf("%s: VM allocations scale with steps: %v allocs at 10 iters, %v at 2000", arm.name, small, big)
+		}
 	}
 }
 

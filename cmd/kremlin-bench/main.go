@@ -71,6 +71,7 @@ var (
 	minWarmSpeedup = flag.Float64("min-warm-speedup", 0, "fail the serve experiment unless warm QPS >= this factor over cold at each shared concurrency (0 = no gate)")
 	vmRepeats      = flag.Int("vm-repeats", 3, "best-of-N repeats per engine/mode for the vmspeed experiment")
 	minVMSpeed     = flag.Float64("min-vm-speedup", 0, "fail the vmspeed experiment if the plain geomean VM speedup is below this (0 = no guard)")
+	minHCPASpeed   = flag.Float64("min-hcpa-speedup", 0, "fail the vmspeed experiment if the HCPA VM-over-tree speedup of any benchmark, or their geomean, is below this (0 = no guard)")
 	minAbsint      = flag.Float64("min-absint-speedup", 0, "fail the vmspeed experiment if the geomean speedup of the default build over -absint=off is below this (0 = no guard)")
 	scaleLines     = flag.String("scale-lines", "10000,50000,100000", "comma-separated program sizes (source lines) for the scale experiment")
 	scaleIters     = flag.Int("scale-iters", 60, "loop trip count per generated helper in the scale experiment")
@@ -427,13 +428,13 @@ func vmspeed() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %10s %10s %9s %10s %10s %9s %10s %9s %6s\n",
-		"bench", "plain-vm", "plain-tree", "speedup", "hcpa-vm", "hcpa-tree", "speedup", "checked", "absint", "equal")
+	fmt.Printf("%-8s %10s %10s %9s %10s %10s %9s %8s %10s %9s %6s\n",
+		"bench", "plain-vm", "plain-tree", "speedup", "hcpa-vm", "hcpa-tree", "speedup", "batched", "checked", "absint", "equal")
 	for _, r := range sum.Rows {
 		eq := r.OutputEqual && r.CountersEqual && r.ProfileEqual && r.PlanEqual
-		fmt.Printf("%-8s %10v %10v %8.2fx %10v %10v %8.2fx %10v %8.2fx %6t\n",
+		fmt.Printf("%-8s %10v %10v %8.2fx %10v %10v %8.2fx %8.3f %10v %8.2fx %6t\n",
 			r.Name, r.PlainVM.Round(10_000), r.PlainTree.Round(10_000), r.PlainSpeedup,
-			r.HCPAVM.Round(10_000), r.HCPATree.Round(10_000), r.HCPASpeedup,
+			r.HCPAVM.Round(10_000), r.HCPATree.Round(10_000), r.HCPASpeedup, r.HCPABatchedFrac,
 			r.PlainChecked.Round(10_000), r.AbsintSpeedup, eq)
 	}
 	fmt.Printf("geomean: plain %.2fx, hcpa %.2fx, absint (unchecked vs checked) %.2fx; engines equivalent on every row: %t\n",
@@ -453,6 +454,16 @@ func vmspeed() error {
 	}
 	if *minVMSpeed > 0 && sum.PlainGeomean < *minVMSpeed {
 		return fmt.Errorf("plain geomean speedup %.2fx below the %.2fx guard", sum.PlainGeomean, *minVMSpeed)
+	}
+	if *minHCPASpeed > 0 {
+		for _, r := range sum.Rows {
+			if r.HCPASpeedup < *minHCPASpeed {
+				return fmt.Errorf("%s: HCPA speedup %.2fx below the %.2fx guard", r.Name, r.HCPASpeedup, *minHCPASpeed)
+			}
+		}
+		if sum.HCPAGeomean < *minHCPASpeed {
+			return fmt.Errorf("HCPA geomean speedup %.2fx below the %.2fx guard", sum.HCPAGeomean, *minHCPASpeed)
+		}
 	}
 	if *minAbsint > 0 && sum.AbsintGeomean < *minAbsint {
 		return fmt.Errorf("absint geomean speedup %.2fx below the %.2fx guard — the unchecked build lost to its own checked baseline", sum.AbsintGeomean, *minAbsint)

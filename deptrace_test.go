@@ -1,10 +1,14 @@
 package kremlin_test
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"kremlin"
+	"kremlin/internal/bench"
 	"kremlin/internal/depcheck"
 	"kremlin/internal/regions"
 )
@@ -115,5 +119,64 @@ void main() {
 `)
 	if id := loopID(t, prog, 8); !carried[id] {
 		t.Errorf("loop with carried dependence through call not flagged (carried=%v)", carried)
+	}
+}
+
+// traceRun profiles prog on engine with the loop-carried dependence tracer
+// on, returning the flagged loop regions and the profile bytes.
+func traceRun(t *testing.T, prog *kremlin.Program, engine kremlin.Engine) ([]int, []byte) {
+	t.Helper()
+	prof, res, err := prog.Profile(&kremlin.RunConfig{Out: io.Discard, TraceDeps: true, Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if _, err := prof.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return res.CarriedDeps, b.Bytes()
+}
+
+// TestTraceDepsParity checks that the VM's batched templates report
+// exactly the tree engine's carried-dependence sets on the suite, and that
+// the broken reads of reductions — a reduction phi's accumulator, a
+// reduction-marked load's memory slot — stay unreported on both engines.
+func TestTraceDepsParity(t *testing.T) {
+	srcs := map[string]string{
+		"scalar-reduction": `
+int a[64];
+void main() {
+	int s = 0;
+	for (int i = 0; i < 64; i++) { s = s + a[i]; }
+	print(s);
+}`,
+		"array-reduction": `
+int a[8];
+int b[64];
+void main() {
+	for (int i = 0; i < 64; i++) { b[i] = i; }
+	for (int i = 0; i < 64; i++) { a[3] += b[i]; }
+	print(a[3]);
+}`,
+	}
+	for _, b := range bench.All() {
+		srcs[b.Name] = b.Source
+	}
+	for name, src := range srcs {
+		prog, err := kremlin.Compile(name+".kr", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vdeps, vprof := traceRun(t, prog, kremlin.EngineVM)
+		tdeps, tprof := traceRun(t, prog, kremlin.EngineTree)
+		if fmt.Sprint(vdeps) != fmt.Sprint(tdeps) {
+			t.Errorf("%s: carried deps vm %v, tree %v", name, vdeps, tdeps)
+		}
+		if !bytes.Equal(vprof, tprof) {
+			t.Errorf("%s: traced profiles differ", name)
+		}
+		if strings.HasSuffix(name, "-reduction") && len(vdeps) != 0 {
+			t.Errorf("%s: reduction loop reported as carried: %v", name, vdeps)
+		}
 	}
 }

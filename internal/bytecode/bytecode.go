@@ -14,22 +14,26 @@
 //   - Instruction budget and liveness polling are enforced per basic
 //     block: a block with n instructions runs check-free when steps+n
 //     stays under the budget and does not cross a poll boundary
-//     (limits.LiveCheckInterval); otherwise the block falls back to the
-//     exact per-instruction reference path.
-//   - HCPA bookkeeping is batched per block: pure blocks (no memory
-//     traffic, calls, IO/RNG, or region boundaries) carry a precompiled
-//     kremlib.BlockTemplate and issue one StepBlock instead of one Step
-//     per instruction.
+//     (limits.LiveCheckInterval); otherwise it runs its exact stream, an
+//     unfused 1:1 lowering with per-instruction accounting.
+//   - HCPA bookkeeping is batched per block: every call- and
+//     allocation-free block carries a precompiled kremlib.BlockTemplate
+//     (loads and stores included, replayed against the cell addresses the
+//     fast path captures) and issues one StepBlock instead of one Step per
+//     instruction; every edge's phis replay through a template too.
 //
-// The fallback ("slow") path is a per-instruction walk of the original IR
-// block that mirrors internal/interp statement for statement, so every
-// observable — output bytes, step and work counters, the full HCPA
-// profile, error text and position, and partial results at budget/cap
-// stops — is bit-identical between engines. The krfuzz differential
-// oracle enforces this continuously.
+// Blocks with calls or allocations, and executions at a budget or poll
+// boundary, take the exact stream, which issues the reference engine's
+// per-instruction Step in HCPA mode. Either way every observable — output
+// bytes, step and work counters, the full HCPA profile, error text and
+// position, and partial results at budget/cap stops — is bit-identical
+// between engines. The krfuzz differential oracle enforces this
+// continuously.
 package bytecode
 
 import (
+	"sync"
+
 	"kremlin/internal/ir"
 	"kremlin/internal/kremlib"
 	"kremlin/internal/regions"
@@ -132,11 +136,10 @@ const (
 	opDivIU // Dst = A / B, divisor proven nonzero
 	opRemIU // Dst = A % B, divisor proven nonzero
 
-	// Exact-block ops. Blocks with calls or allocations compile to
-	// unfused 1:1 bytecode replayed by execExact with per-instruction
-	// accounting. opCall's A is the callee's function index; opAlloc's A
-	// is the element kind; both read their C argument registers from
-	// FuncCode.IdxRegs[B:B+C].
+	// Exact-stream ops (calls and allocations always run exact, with
+	// per-instruction accounting). opCall's A is the callee's function
+	// index; opAlloc's A is the element kind; both read their C argument
+	// registers from FuncCode.IdxRegs[B:B+C].
 	opCall
 	opAlloc
 
@@ -258,29 +261,25 @@ type val struct {
 // BBlock is the compiled form of one basic block.
 type BBlock struct {
 	IR *ir.Block
-	// Start/End delimit the block's instructions in FuncCode.Code
-	// (End exclusive). NeedsSlow blocks carry no bytecode (Start==End==-1).
+	// Start/End delimit the block's fused fast-path instructions in
+	// FuncCode.Code (End exclusive); -1/-1 for ExactOnly blocks.
 	Start, End int32
+	// XStart/XEnd delimit its exact stream in FuncCode.Exact: one unfused
+	// instruction per IR instruction after the phis, every block.
+	XStart, XEnd int32
 	// NSteps counts the block's IR instructions after the phis (body +
 	// terminator), i.e. the step-counter increment of one execution.
 	NSteps uint32
 	// LatSum is the summed ir latency of those instructions — the plain
 	// work accrual of one check-free execution.
 	LatSum uint64
-	// NeedsSlow marks blocks that always take a per-instruction path:
-	// calls (the callee perturbs the step counter mid-block) and array
+	// ExactOnly marks blocks that always run their exact stream: calls
+	// (the callee perturbs the step counter mid-block) and array
 	// allocations (they can fail the heap cap mid-block, and partial
 	// results must be exact prefixes).
-	NeedsSlow bool
-	// Exact marks NeedsSlow blocks whose Start/End range holds unfused
-	// 1:1 bytecode for execExact (per-instruction budget/liveness/work,
-	// register-indexed dispatch). Non-exact NeedsSlow blocks — unknown
-	// builtins, degenerate control flow — carry no bytecode and always
-	// take the execSlow reference walk, as does HCPA mode (which needs
-	// per-IR shadow Steps).
-	Exact bool
-	// Tpl is the batched HCPA template; nil when the block touches shadow
-	// state per instruction (loads/stores), performs IO/RNG, or returns.
+	ExactOnly bool
+	// Tpl is the batched HCPA template of the block body; nil exactly for
+	// ExactOnly blocks.
 	Tpl *kremlib.BlockTemplate
 	// HasPush/PopAt: the branch pushes a control-dependence entry popped
 	// at PopAt (precompiled from the instrumentation tables).
@@ -299,14 +298,16 @@ type Move struct {
 }
 
 // Edge is one precompiled CFG edge: where it lands, the phi moves and
-// shadow Steps it performs, and the region enter/exit/iterate events it
+// shadow updates it performs, and the region enter/exit/iterate events it
 // fires — everything interp recomputes per traversal, resolved once.
 type Edge struct {
 	Target  int32 // block index in FuncCode.Blocks
 	PredIdx int32 // incoming-predecessor index at the target (phi selector)
 	NPhis   uint32
 	Moves   []Move
-	Phis    []*ir.Instr // all phis at the target, in order (HCPA Steps)
+	// PhiTpl is the HCPA template of the target's phis with this edge's
+	// arguments selected (nil when the target has none).
+	PhiTpl *kremlib.BlockTemplate
 	// Region events (mirrors regions.EdgeEvents with Exit flattened to a
 	// count — the interpreter only ranges over it).
 	NExit   int32
@@ -332,12 +333,14 @@ type FuncCode struct {
 	Consts []val
 	Strs   []string // printstr literals
 	// IdxRegs holds the index-register lists of rank-3+ fused accesses
-	// and the argument/dimension register lists of exact-block
-	// opCall/opAlloc (all slice it via their B/C operands).
+	// and the argument/dimension register lists of opCall/opAlloc (all
+	// slice it via their B/C operands).
 	IdxRegs []int32
-	// Lat is the per-pc IR latency, aligned with Code; meaningful only
-	// inside exact blocks, where execExact accrues work per instruction.
-	Lat []uint32
+	// Exact is every block's unfused 1:1 stream (see BBlock.XStart);
+	// ExactIR runs parallel to it, naming the IR instruction each entry
+	// executes (for work accrual and HCPA Steps).
+	Exact   []Ins
+	ExactIR []*ir.Instr
 	// GlobalSeeds lists registers preloaded with global descriptors at
 	// call entry. Global descriptors never change after startup
 	// allocation, so opGlobal instructions in fast blocks are elided and
@@ -348,6 +351,10 @@ type FuncCode struct {
 	NumRegs     int32
 	// Root is the function's region (entered per call in profiled modes).
 	Root *regions.Region
+
+	// Everything above but F and Root is filled in by lower (see Compile).
+	once sync.Once
+	src  *lowering
 }
 
 // Program is a compiled module: one FuncCode per IR function.

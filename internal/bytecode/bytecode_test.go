@@ -1,10 +1,14 @@
 package bytecode
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"kremlin/internal/absint"
@@ -269,43 +273,6 @@ void main() {
 	}
 }
 
-// TestBatchTemplates checks that call-free pure blocks get HCPA dependence
-// templates (the batched StepBlock path) while call-containing blocks do
-// not.
-func TestBatchTemplates(t *testing.T) {
-	c := compileKr(t, testPrograms["arrays"])
-	var withTpl int
-	for _, fc := range c.prog.Funcs {
-		for _, b := range fc.Blocks {
-			if b.Tpl != nil {
-				withTpl++
-			}
-		}
-	}
-	if withTpl == 0 {
-		t.Error("no block in the arrays program earned a batch template")
-	}
-
-	calls := compileKr(t, testPrograms["calls"])
-	for _, fc := range calls.prog.Funcs {
-		for _, b := range fc.Blocks {
-			if !b.NeedsSlow {
-				continue
-			}
-			if b.Tpl != nil {
-				t.Errorf("func %s: NeedsSlow block has a template", fc.F.Name)
-			}
-			if b.Exact {
-				if b.Start < 0 || b.End < b.Start {
-					t.Errorf("func %s: exact block without bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
-				}
-			} else if b.Start != -1 || b.End != -1 {
-				t.Errorf("func %s: non-exact NeedsSlow block has bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
-			}
-		}
-	}
-}
-
 // TestBudgetPrefix sweeps the instruction budget across both engines,
 // including both sides of the 2^14 liveness-poll boundary: the stop must
 // be an exact prefix — same error, same step counter — regardless of
@@ -379,6 +346,129 @@ void main() {
 	}
 }
 
+// prefixProg runs ~400k HCPA steps through loads, stores, a helper call,
+// and a local allocation per round, so budget, heap-cap, page-cap, and
+// cancellation stops can land in batched blocks, exact call blocks, and
+// on either side of the 2^14 liveness poll.
+const prefixProg = `
+int a[512];
+int bump(int x) { return x * 3 % 11; }
+void main() {
+	int s = 0;
+	for (int r = 0; r < 40; r++) {
+		int tmp[64];
+		for (int i = 1; i < 512; i++) {
+			a[i] = a[i-1] + bump(i) + r;
+			tmp[i % 64] = a[i] % 5;
+			s = s + tmp[i % 64];
+		}
+	}
+	print(s);
+}`
+
+// TestHCPAPrefixParity pins the HCPA limit-stop contract between engines:
+// budget stops on both sides of the liveness poll, heap-cap and
+// shadow-page-cap stops, and cancellation must cut both engines at the
+// same instruction — same error text, steps, work, and shadow-memory
+// counters — and runs that complete must produce byte-identical profiles.
+func TestHCPAPrefixParity(t *testing.T) {
+	c := compileKr(t, prefixProg)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	li := uint64(limits.LiveCheckInterval)
+	type stop struct {
+		name string
+		set  func(*interp.Config)
+	}
+	var stops []stop
+	for _, b := range []uint64{1, 2, 5, 17, 999, li - 1, li, li + 1, 3*li - 1, 3*li + 7, 1 << 30} {
+		b := b
+		stops = append(stops, stop{fmt.Sprintf("budget-%d", b), func(cfg *interp.Config) { cfg.MaxSteps = b }})
+	}
+	for _, w := range []uint64{600, 700, 2000} {
+		w := w
+		stops = append(stops, stop{fmt.Sprintf("heap-%d", w), func(cfg *interp.Config) { cfg.MaxHeapWords = w }})
+	}
+	stops = append(stops,
+		stop{"pages", func(cfg *interp.Config) { cfg.Opts.MaxShadowPages = 1 }},
+		stop{"cancel", func(cfg *interp.Config) { cfg.Ctx = cancelled }})
+	for _, st := range stops {
+		vcfg := c.config(interp.HCPA, io.Discard)
+		tcfg := c.config(interp.HCPA, io.Discard)
+		st.set(&vcfg)
+		st.set(&tcfg)
+		vres, verr := Run(c.prog, vcfg)
+		tres, terr := interp.Run(c.mod, tcfg)
+		if fmt.Sprint(verr) != fmt.Sprint(terr) {
+			t.Fatalf("%s: vm err %v, tree err %v", st.name, verr, terr)
+		}
+		if verr != nil && !limits.IsLimit(verr) {
+			t.Fatalf("%s: not a limit stop: %v", st.name, verr)
+		}
+		if vres.Steps != tres.Steps || vres.Work != tres.Work ||
+			vres.ShadowPages != tres.ShadowPages || vres.ShadowWrites != tres.ShadowWrites {
+			t.Errorf("%s: vm steps/work/pages/writes %d/%d/%d/%d, tree %d/%d/%d/%d", st.name,
+				vres.Steps, vres.Work, vres.ShadowPages, vres.ShadowWrites,
+				tres.Steps, tres.Work, tres.ShadowPages, tres.ShadowWrites)
+		}
+		if verr == nil {
+			var vb, tb bytes.Buffer
+			if _, err := vres.Profile.WriteTo(&vb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tres.Profile.WriteTo(&tb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(vb.Bytes(), tb.Bytes()) {
+				t.Errorf("%s: profiles differ", st.name)
+			}
+		}
+	}
+}
+
+// TestConcurrentLowering runs one fresh program from several goroutines at
+// once. Functions lower on first call under a per-function once, so every
+// run must see complete bytecode and profile exactly like the tree engine
+// (run it under -race to check the lowering publishes safely).
+func TestConcurrentLowering(t *testing.T) {
+	c := compileKr(t, prefixProg)
+	tres, err := interp.Run(c.mod, c.config(interp.HCPA, io.Discard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := tres.Profile.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	fresh := Compile(c.mod, c.regs, c.instr, absint.Analyze(c.mod))
+	got := make([][]byte, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := Run(fresh, c.config(interp.HCPA, io.Discard))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			var b bytes.Buffer
+			_, errs[i] = res.Profile.WriteTo(&b)
+			got[i] = b.Bytes()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want.Bytes()) {
+			t.Errorf("run %d: profile differs from the tree engine's", i)
+		}
+	}
+}
+
 // TestRuntimeErrorEquivalence checks that runtime faults (division by
 // zero, out-of-range subscripts) carry the same message through both
 // engines.
@@ -446,7 +536,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{"terminator-mid-block", func(fc *FuncCode) bool {
 			for bi := range fc.Blocks {
 				b := &fc.Blocks[bi]
-				if b.NeedsSlow || b.End-b.Start < 2 {
+				if b.ExactOnly || b.End-b.Start < 2 {
 					continue
 				}
 				fc.Code[b.Start] = Ins{Op: opJump}

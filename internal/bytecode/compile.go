@@ -11,28 +11,44 @@ import (
 	"kremlin/internal/regions"
 )
 
-// Compile lowers a module into flat bytecode. prog and instr are the
-// region analysis and instrumentation tables the module was compiled with
-// (the same ones the tree engine consults at run time); edges, control
-// pushes, and region events are resolved against them once, here. facts,
-// when non-nil, supplies the abstract interpreter's proofs: views proven
-// in bounds and divisors proven nonzero compile to unchecked opcode
-// variants and open fusion windows that faultable instructions would
-// otherwise close. A nil facts (-absint=off) compiles fully checked code;
-// profiles, plans, and program output are identical either way — only the
-// dispatch cost of the proven checks differs.
+// Compile prepares a module for the VM. Each function is lowered to flat
+// bytecode on its first call (or by Verify), so a run lowers only what it
+// executes — an incremental re-profile that replays most calls from the
+// cache lowers few functions. prog and instr are the region analysis and
+// instrumentation tables the module was compiled with (the same ones the
+// tree engine consults at run time); edges, control pushes, and region
+// events are resolved against them once, at lowering. facts, when non-nil,
+// supplies the abstract interpreter's proofs: views proven in bounds and
+// divisors proven nonzero compile to unchecked opcode variants and open
+// fusion windows that faultable instructions would otherwise close. A nil
+// facts (-absint=off) compiles fully checked code; profiles, plans, and
+// program output are identical either way — only the dispatch cost of the
+// proven checks differs.
 func Compile(mod *ir.Module, prog *regions.Program, instr *instrument.Module, facts *absint.Facts) *Program {
 	p := &Program{Mod: mod, Prog: prog, ByFunc: make(map[*ir.Func]*FuncCode, len(mod.Funcs))}
-	fidx := make(map[*ir.Func]int32, len(mod.Funcs))
+	src := &lowering{instr: instr, facts: facts, fidx: make(map[*ir.Func]int32, len(mod.Funcs))}
 	for i, f := range mod.Funcs {
-		fidx[f] = int32(i)
+		src.fidx[f] = int32(i)
 	}
 	for _, f := range mod.Funcs {
-		fc := compileFunc(f, prog, instr, fidx, facts)
+		fc := &FuncCode{F: f, Root: prog.PerFunc[f].Root, src: src}
 		p.Funcs = append(p.Funcs, fc)
 		p.ByFunc[f] = fc
 	}
 	return p
+}
+
+// lowering is what lowering any one function of a program reads; it is
+// never written after Compile, so functions may lower concurrently.
+type lowering struct {
+	instr *instrument.Module
+	facts *absint.Facts
+	fidx  map[*ir.Func]int32 // function -> Program.Funcs index (opCall)
+}
+
+// lower compiles fc on first use; safe for concurrent callers.
+func (fc *FuncCode) lower() {
+	fc.once.Do(func() { compileFunc(fc) })
 }
 
 // constKey dedups pool constants by kind and bit pattern.
@@ -50,11 +66,23 @@ type fnCompiler struct {
 	constIdx map[constKey]int32
 	fidx     map[*ir.Func]int32 // function -> Program.Funcs index (opCall)
 	// facts are the absint proofs consulted for unchecked emission; nil
-	// disables elimination. inExact suppresses them while emitExact runs:
-	// the exact fallback path must stay fully checked so faulting programs
-	// report the reference error at the reference position.
+	// disables elimination. inExact suppresses them while emitExact runs
+	// (and routes push to the exact stream): the exact path must stay fully
+	// checked so faulting programs report the reference error at the
+	// reference position.
 	facts   *absint.Facts
 	inExact bool
+	// tpls, tplIns and tplArgs are slabs backing the function's templates,
+	// their entries and the entries' argument lists (a few allocations per
+	// function instead of several per block). tplAt maps a register to 1 +
+	// the tplIns index of the entry writing it in the template being built
+	// (0 outside it).
+	tpls    []kremlib.BlockTemplate
+	tplIns  []kremlib.TplIns
+	tplArgs []int32
+	tplAt   []int32
+	// escapes marks values read outside their own block or by a phi.
+	escapes []bool
 }
 
 // provenView reports whether the view's index was proven within its
@@ -70,37 +98,60 @@ func (c *fnCompiler) provenDiv(ins *ir.Instr) bool {
 	return c.facts != nil && !c.inExact && c.facts.NonZeroDivisor(ins)
 }
 
-func compileFunc(f *ir.Func, prog *regions.Program, instr *instrument.Module, fidx map[*ir.Func]int32, facts *absint.Facts) *FuncCode {
+func compileFunc(fc *FuncCode) {
+	f := fc.F
+	fc.ConstBase = int32(f.NumValues())
 	c := &fnCompiler{
-		f:     f,
-		fidx:  fidx,
-		facts: facts,
-		fc: &FuncCode{
-			F:         f,
-			ConstBase: int32(f.NumValues()),
-			Root:      prog.PerFunc[f].Root,
-		},
-		fi:       instr.PerFunc[f],
+		f:        f,
+		fidx:     fc.src.fidx,
+		facts:    fc.src.facts,
+		fc:       fc,
+		fi:       fc.src.instr.PerFunc[f],
 		idxOf:    make(map[*ir.Block]int32, len(f.Blocks)),
 		uses:     make([]int32, f.NumValues()),
+		tplAt:    make([]int32, f.NumValues()),
+		escapes:  make([]bool, f.NumValues()),
 		constIdx: make(map[constKey]int32),
 	}
+	// Size every stream and slab once: a block has at most two edges, a
+	// phi one argument per edge.
+	nIns, nArgs := 0, 0
+	defBlk := make([]int32, f.NumValues())
 	for i, b := range f.Blocks {
 		c.idxOf[b] = int32(i)
 		for _, ins := range b.Instrs {
+			defBlk[ins.ID] = int32(i)
+		}
+	}
+	for i, b := range f.Blocks {
+		nPhiArgs := phiCount(b) * len(b.Preds)
+		nIns += len(b.Instrs) + nPhiArgs
+		nArgs += nPhiArgs
+		for _, ins := range b.Instrs {
+			nArgs += len(ins.Args)
 			for _, a := range ins.Args {
 				if ai, ok := a.(*ir.Instr); ok {
 					c.uses[ai.ID]++
+					if ins.Op == ir.OpPhi || defBlk[ai.ID] != int32(i) {
+						c.escapes[ai.ID] = true
+					}
 				}
 			}
 		}
 	}
-	c.fc.Blocks = make([]BBlock, len(f.Blocks))
+	nb := len(f.Blocks)
+	c.fc.Code = make([]Ins, 0, nIns+nb)
+	c.fc.Exact = make([]Ins, 0, nIns)
+	c.fc.ExactIR = make([]*ir.Instr, 0, nIns)
+	c.fc.Edges = make([]Edge, 0, 2*nb)
+	c.tpls = make([]kremlib.BlockTemplate, 0, 3*nb)
+	c.tplIns = make([]kremlib.TplIns, 0, nIns)
+	c.tplArgs = make([]int32, 0, nArgs)
+	c.fc.Blocks = make([]BBlock, nb)
 	for i, b := range f.Blocks {
 		c.compileBlock(int32(i), b)
 	}
 	c.fc.NumRegs = c.fc.ConstBase + int32(len(c.fc.Consts))
-	return c.fc
 }
 
 // opnd resolves an IR operand to a register-file index: instruction
@@ -134,138 +185,58 @@ func (c *fnCompiler) constReg(k constKey, v val) int32 {
 	return c.fc.ConstBase + idx
 }
 
-// pureBuiltins are template-eligible: they read and write only registers
-// (no shadow memory, IO, RNG, or failure-free requirement — dim can fail,
-// but a mid-block runtime error aborts the whole run, which is
-// unobservable since errors return a nil Result).
-var pureBuiltins = map[string]bool{
-	"sqrt": true, "fabs": true, "floor": true, "exp": true, "log": true,
-	"sin": true, "cos": true, "pow": true, "abs": true, "min": true,
-	"max": true, "dim": true,
+// phiCount returns the number of leading phis of blk.
+func phiCount(blk *ir.Block) int {
+	n := 0
+	for n < len(blk.Instrs) && blk.Instrs[n].Op == ir.OpPhi {
+		n++
+	}
+	return n
 }
-
-// knownBuiltins is everything the engines implement; anything else makes
-// the block slow-path so the reference error text is produced.
-var knownBuiltins = map[string]bool{
-	"rand": true, "frand": true, "srand": true,
-	"printstr": true, "printval": true, "printnl": true,
-}
-
-func isKnownBuiltin(name string) bool { return pureBuiltins[name] || knownBuiltins[name] }
 
 func (c *fnCompiler) compileBlock(bi int32, blk *ir.Block) {
 	bb := &c.fc.Blocks[bi]
 	bb.IR = blk
 	bb.Start, bb.End = -1, -1
-
-	nPhis := 0
-	for _, ins := range blk.Instrs {
-		if ins.Op != ir.OpPhi {
-			break
-		}
-		nPhis++
-	}
-	body := blk.Instrs[nPhis:]
-
+	body := blk.Instrs[phiCount(blk):]
 	for _, ins := range body {
 		bb.NSteps++
 		bb.LatSum += ins.Latency()
-	}
-
-	// Classify. NeedsSlow blocks take a per-instruction path
-	// unconditionally (exact bytecode when representable, the reference
-	// walk otherwise); pure blocks additionally get an HCPA template.
-	pure := len(body) > 0
-	exactOK := true
-	for i, ins := range body {
-		switch ins.Op {
-		case ir.OpParam, ir.OpBin, ir.OpNeg, ir.OpNot, ir.OpConvert,
-			ir.OpGlobal, ir.OpView:
-			// template-eligible
-		case ir.OpLoad, ir.OpStore:
-			pure = false
-		case ir.OpBuiltin:
-			if !isKnownBuiltin(ins.Builtin) {
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-			if !pureBuiltins[ins.Builtin] {
-				pure = false
-			}
-		case ir.OpBr, ir.OpJump:
-			if i != len(body)-1 {
-				// Mid-block terminator: only the reference walk reproduces
-				// the interpreter's continue-past-terminator behavior.
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		case ir.OpRet:
-			pure = false // RetVec capture needs a real Step
-			if i != len(body)-1 {
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		case ir.OpCall, ir.OpAllocArray:
-			// Calls perturb the step counter mid-block; allocations can
-			// fail the heap cap mid-block. Both must check per instruction.
-			bb.NeedsSlow = true
-		default:
-			bb.NeedsSlow = true
-			exactOK = false
+		// Calls perturb the step counter mid-block; allocations can fail
+		// the heap cap mid-block. Both must check per instruction.
+		if ins.Op == ir.OpCall || ins.Op == ir.OpAllocArray {
+			bb.ExactOnly = true
 		}
 	}
-	if t := blk.Terminator(); t == nil {
+
+	// Edges (the terminator's targets, in then/else order).
+	switch t := blk.Terminator(); {
+	case t == nil:
 		bb.Term = termNone
-		pure = false
-		// A block that dangles without a terminator but branches mid-block
-		// cannot be mapped onto precompiled edges; force the reference walk.
-		for _, ins := range body {
-			if ins.Op == ir.OpBr || ins.Op == ir.OpJump {
-				bb.NeedsSlow = true
-				exactOK = false
-			}
-		}
-	} else {
-		switch t.Op {
-		case ir.OpBr:
-			bb.Term = termBr
-		case ir.OpJump:
-			bb.Term = termJump
-		default:
-			bb.Term = termRet
-		}
+	case t.Op == ir.OpBr:
+		bb.Term = termBr
+		bb.Edge0 = c.addEdge(blk, t.Targets[0])
+		bb.Edge1 = c.addEdge(blk, t.Targets[1])
+	case t.Op == ir.OpJump:
+		bb.Term = termJump
+		bb.Edge0 = c.addEdge(blk, t.Targets[0])
+	default:
+		bb.Term = termRet
 	}
-
-	if popAt, ok := c.fi.PopAt[blk]; ok && popAt != nil {
+	if popAt, ok := c.fi.PopAt[blk]; ok && popAt != nil && bb.Term == termBr {
 		bb.HasPush = true
 		bb.PopAt = popAt
 	}
 
-	// Edges (the terminator's targets, in then/else order).
-	if t := blk.Terminator(); t != nil {
-		switch t.Op {
-		case ir.OpBr:
-			bb.Edge0 = c.addEdge(blk, t.Targets[0])
-			bb.Edge1 = c.addEdge(blk, t.Targets[1])
-		case ir.OpJump:
-			bb.Edge0 = c.addEdge(blk, t.Targets[0])
-		}
-	}
-
-	if bb.NeedsSlow {
-		if exactOK {
-			c.emitExact(bb, body)
-		}
-		return
-	}
-	c.emit(bb, body)
-	if pure {
-		bb.Tpl = c.template(body)
+	c.emitExact(bb, body)
+	if !bb.ExactOnly {
+		c.emit(bb, body)
+		bb.Tpl = c.template(body, -1)
 	}
 }
 
 // addEdge precompiles the CFG edge blk→to: target index, phi moves and
-// Step list, predecessor index, and region events.
+// phi template, predecessor index, and region events.
 func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 	e := Edge{Target: c.idxOf[to], PredIdx: -1}
 	for i, p := range to.Preds {
@@ -274,15 +245,15 @@ func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 			break
 		}
 	}
-	for _, ins := range to.Instrs {
-		if ins.Op != ir.OpPhi {
-			break
-		}
-		e.NPhis++
-		e.Phis = append(e.Phis, ins)
+	phis := to.Instrs[:phiCount(to)]
+	e.NPhis = uint32(len(phis))
+	for _, ins := range phis {
 		if e.PredIdx >= 0 && int(e.PredIdx) < len(ins.Args) {
 			e.Moves = append(e.Moves, Move{Dst: int32(ins.ID), Src: c.opnd(ins.Args[e.PredIdx])})
 		}
+	}
+	if len(phis) > 0 {
+		e.PhiTpl = c.template(phis, int(e.PredIdx))
 	}
 	ev := c.fi.EdgeEvents(blk, to)
 	e.NExit = int32(len(ev.Exit))
@@ -293,32 +264,101 @@ func (c *fnCompiler) addEdge(blk, to *ir.Block) int32 {
 	return idx
 }
 
-// template builds the batched HCPA effect of a pure block: one entry per
-// stepped instruction (params excluded — the interpreter never Steps
-// them), argument vectors resolved to register IDs with constants and
-// broken (induction/reduction) dependencies dropped at compile time.
-func (c *fnCompiler) template(body []*ir.Instr) *kremlib.BlockTemplate {
-	tpl := &kremlib.BlockTemplate{}
-	for _, ins := range body {
-		if ins.Op == ir.OpParam {
+// template builds the batched HCPA effect of a block body or of an edge's
+// phis (selecting incoming argument predIdx): one entry per instruction
+// whose Step has an effect, with kremlib.Step's per-opcode cases resolved
+// here. Argument vectors resolve to register IDs; constants and broken
+// (induction/reduction) dependencies are dropped.
+func (c *fnCompiler) template(instrs []*ir.Instr, predIdx int) *kremlib.BlockTemplate {
+	c.tpls = append(c.tpls, kremlib.BlockTemplate{}) // presized: never moves
+	tpl := &c.tpls[len(c.tpls)-1]
+	first := len(c.tplIns)
+	for _, ins := range instrs {
+		if ins.Op == ir.OpParam || ins.Op == ir.OpJump || c.baseOnly(ins) {
+			// The interpreter never Steps params. A jump folds nothing and
+			// adds no latency: its time is the control time, which can
+			// neither raise the critical path nor reach any register.
 			continue
 		}
-		ti := kremlib.TplIns{Res: -1, Lat: ins.Latency()}
-		if ins.HasResult() {
+		ti := kremlib.TplIns{Res: -1, Lat: ins.Latency(), Covered: ins.Latency() == 0}
+		args, brk := ins.Args, ins.BreakArg
+		switch ins.Op {
+		case ir.OpPhi:
+			// An induction phi's carried dependence is broken: only the
+			// control time remains.
+			args, brk = nil, -1
+			if !ins.Induction && predIdx >= 0 && predIdx < len(ins.Args) {
+				args = ins.Args[predIdx : predIdx+1]
+			}
+			ti.Untraced = ins.Reduction
+		case ir.OpLoad:
+			// The address computation is never a broken dependence.
+			args, brk = ins.Args[:1], -1
+			ti.Kind = kremlib.TplLoad
+			ti.Untraced = ins.Reduction
+		case ir.OpStore:
+			ti.Kind = kremlib.TplStore
+		case ir.OpRet:
+			ti.Kind = kremlib.TplRet
+		case ir.OpBuiltin:
+			switch ins.Builtin {
+			case "rand", "frand", "srand":
+				ti.Kind = kremlib.TplRand
+			case "printval", "printstr", "printnl":
+				ti.Kind = kremlib.TplPrint
+			}
+		}
+		if ins.HasResult() && ti.Kind != kremlib.TplPrint {
 			ti.Res = int32(ins.ID)
 		}
-		for i, a := range ins.Args {
-			if i == ins.BreakArg {
+		start := len(c.tplArgs)
+		for i, a := range args {
+			if i == brk {
 				continue
 			}
-			if ai, ok := a.(*ir.Instr); ok {
-				ti.Args = append(ti.Args, int32(ai.ID))
+			ai, ok := a.(*ir.Instr)
+			if !ok || c.baseOnly(ai) {
+				continue
+			}
+			c.tplArgs = append(c.tplArgs, int32(ai.ID))
+			if ai.ID == ins.ID {
+				// StepBlock computes results in place: a self-reference (a
+				// phi reading itself) must be the first fold.
+				n := len(c.tplArgs) - 1
+				c.tplArgs[start], c.tplArgs[n] = c.tplArgs[n], c.tplArgs[start]
+			}
+			// A result a later entry folds needs no critical-path update
+			// of its own.
+			if j := c.tplAt[ai.ID]; j > 0 {
+				c.tplIns[j-1].Covered = true
 			}
 		}
+		if n := len(c.tplArgs); n > start {
+			ti.Args = c.tplArgs[start:n:n]
+		}
 		tpl.TotalLat += ti.Lat
-		tpl.Ins = append(tpl.Ins, ti)
+		c.tplIns = append(c.tplIns, ti)
+		if ti.Res >= 0 {
+			c.tplAt[ti.Res] = int32(len(c.tplIns))
+		}
+	}
+	n := len(c.tplIns)
+	tpl.Ins = c.tplIns[first:n:n]
+	for _, ti := range tpl.Ins {
+		if ti.Res >= 0 {
+			c.tplAt[ti.Res] = 0
+		}
 	}
 	return tpl
+}
+
+// baseOnly reports whether v's shadow time is the control baseline of
+// every template that reads it, so templates neither compute nor fold it:
+// a global's time is the control time at its Step, and when every reader
+// sits in the global's own block body (no phi), each reader's fold starts
+// from that same baseline.
+func (c *fnCompiler) baseOnly(v *ir.Instr) bool {
+	return v.Op == ir.OpGlobal && !c.escapes[v.ID]
 }
 
 // transparent reports whether an instruction may sit between a fused view
@@ -351,7 +391,7 @@ func (c *fnCompiler) transparent(ins *ir.Instr) bool {
 			return true
 		}
 		// dim faults; prints are observable output; anything unknown
-		// forces the whole block slow-path regardless.
+		// fails verification regardless.
 		return false
 	}
 	// Unproven views fault, stores/terminators/calls close the window.
@@ -505,24 +545,30 @@ func (c *fnCompiler) emit(bb *BBlock, body []*ir.Instr) {
 	bb.End = int32(len(c.fc.Code))
 }
 
+// push appends to the stream being emitted: the fused fast stream, or the
+// exact stream while emitExact runs.
 func (c *fnCompiler) push(i Ins) {
+	if c.inExact {
+		c.fc.Exact = append(c.fc.Exact, i)
+		return
+	}
 	c.fc.Code = append(c.fc.Code, i)
-	c.fc.Lat = append(c.fc.Lat, 0)
 }
 
-// emitExact lowers a NeedsSlow block to unfused 1:1 bytecode — one
-// instruction per IR instruction (params become nops), calls and
-// allocations included — recording each instruction's IR latency in
-// FuncCode.Lat. execExact replays it with the reference engine's exact
-// per-instruction budget/liveness/work accounting in non-HCPA modes.
+// emitExact lowers a block body to unfused 1:1 bytecode in FuncCode.Exact
+// — one instruction per IR instruction, calls and allocations included —
+// with the IR instruction recorded alongside in FuncCode.ExactIR. execExact
+// replays it with the reference engine's exact per-instruction budget,
+// liveness, work, and (in HCPA) Step accounting. Params hold their slot
+// with a nop, as does IR the verifier rejects (unknown builtins and ops).
 func (c *fnCompiler) emitExact(bb *BBlock, body []*ir.Instr) {
 	c.inExact = true
 	defer func() { c.inExact = false }()
-	bb.Start = int32(len(c.fc.Code))
+	bb.XStart = int32(len(c.fc.Exact))
 	for _, ins := range body {
+		n := len(c.fc.Exact)
 		switch ins.Op {
 		case ir.OpParam:
-			c.push(Ins{Op: opNop})
 		case ir.OpCall:
 			c.push(Ins{Op: opCall, Dst: int32(ins.ID), A: c.fidx[ins.Callee],
 				B: c.argList(ins.Args), C: int32(len(ins.Args)), Pos: int32(ins.Pos)})
@@ -532,10 +578,12 @@ func (c *fnCompiler) emitExact(bb *BBlock, body []*ir.Instr) {
 		default:
 			c.emitIns(ins, nil, nil, nil)
 		}
-		c.fc.Lat[len(c.fc.Lat)-1] = uint32(ins.Latency())
+		if len(c.fc.Exact) == n {
+			c.push(Ins{Op: opNop})
+		}
+		c.fc.ExactIR = append(c.fc.ExactIR, ins)
 	}
-	bb.End = int32(len(c.fc.Code))
-	bb.Exact = true
+	bb.XEnd = int32(len(c.fc.Exact))
 }
 
 // argList interns an opCall/opAlloc operand list into FuncCode.IdxRegs

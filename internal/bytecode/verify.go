@@ -1,10 +1,18 @@
 package bytecode
 
 import (
+	"errors"
 	"fmt"
 
 	"kremlin/internal/ir"
+	"kremlin/internal/kremlib"
 )
+
+// ErrIRShape marks IR that neither engine runs: a terminator before the
+// end of its block (dangling blocks that branch included), an unknown
+// builtin, or an op that cannot appear in an SSA block body. The compiler
+// lowers such IR without failing, but Verify rejects it, so it never runs.
+var ErrIRShape = errors.New("IR shape the engines do not run")
 
 // operand-usage flags for the verifier.
 const (
@@ -72,11 +80,16 @@ func isTermOp(op opcode) bool {
 // Verify checks a compiled program's structural invariants — everything
 // the check-free fast path assumes instead of testing at dispatch time:
 // operand indices inside the register file, edge and block indices in
-// range, terminators only in final position, templates referencing only
-// shadow-register IDs. The krfuzz oracle runs it on every generated
-// program; tests run it on every compiled fixture.
+// range, terminators only in final position, an exact stream mapping 1:1
+// onto every block body, templates referencing only shadow-register IDs
+// and consuming exactly the addresses the fast stream captures. IR the
+// engines do not run fails with an error wrapping ErrIRShape. It lowers
+// every function first. The krfuzz oracle runs it on every generated
+// program, CompileBundle on every bundle, and tests on every compiled
+// fixture.
 func Verify(p *Program) error {
 	for _, fc := range p.Funcs {
+		fc.lower()
 		if err := verifyFunc(p, fc); err != nil {
 			return fmt.Errorf("bytecode: func %s: %w", fc.F.Name, err)
 		}
@@ -116,8 +129,13 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 		if e.Target < 0 || int(e.Target) >= len(fc.Blocks) {
 			return fmt.Errorf("edge %d: target %d out of range", ei, e.Target)
 		}
-		if int(e.NPhis) != len(e.Phis) {
-			return fmt.Errorf("edge %d: NPhis %d != %d phis", ei, e.NPhis, len(e.Phis))
+		if (e.NPhis > 0) != (e.PhiTpl != nil) || e.PhiTpl != nil && len(e.PhiTpl.Ins) != int(e.NPhis) {
+			return fmt.Errorf("edge %d: phi template does not cover its %d phis", ei, e.NPhis)
+		}
+		if e.PhiTpl != nil {
+			if err := verifyTpl(fc, e.PhiTpl, 0); err != nil {
+				return fmt.Errorf("edge %d: phi %w", ei, err)
+			}
 		}
 		for _, mv := range e.Moves {
 			if mv.Dst < 0 || mv.Dst >= fc.ConstBase {
@@ -132,17 +150,60 @@ func verifyFunc(p *Program, fc *FuncCode) error {
 }
 
 func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
-	if b.Exact && !b.NeedsSlow {
-		return fmt.Errorf("Exact block is not NeedsSlow")
+	body := b.IR.Instrs[phiCount(b.IR):]
+	if int(b.NSteps) != len(body) {
+		return fmt.Errorf("NSteps %d for %d body instructions", b.NSteps, len(body))
 	}
-	if b.NeedsSlow && !b.Exact {
-		if b.Start != -1 || b.End != -1 {
-			return fmt.Errorf("func %s: non-exact NeedsSlow block carries bytecode [%d,%d)", fc.F.Name, b.Start, b.End)
+	if b.XStart < 0 || int(b.XEnd)-int(b.XStart) != len(body) || int(b.XEnd) > len(fc.Exact) || len(fc.ExactIR) != len(fc.Exact) {
+		return fmt.Errorf("exact range [%d,%d) does not map 1:1 onto %d body instructions", b.XStart, b.XEnd, len(body))
+	}
+	exactOnly := false
+	for k, irIns := range body {
+		pc := b.XStart + int32(k)
+		ins := &fc.Exact[pc]
+		if fc.ExactIR[pc] != irIns {
+			return fmt.Errorf("exact pc %d: IR instruction mismatch", pc)
+		}
+		if irIns.IsTerminator() && k != len(body)-1 {
+			return fmt.Errorf("%w: %v before the end of the block", ErrIRShape, irIns.Op)
+		}
+		if ins.Op == opNop && irIns.Op != ir.OpParam {
+			if irIns.Op == ir.OpBuiltin {
+				return fmt.Errorf("%w: unknown builtin %q", ErrIRShape, irIns.Builtin)
+			}
+			return fmt.Errorf("%w: %v in a block body", ErrIRShape, irIns.Op)
+		}
+		if err := verifyIns(p, fc, ins); err != nil {
+			return fmt.Errorf("exact pc %d (%v): %w", pc, ins.Op, err)
+		}
+		if isTermOp(ins.Op) && k != len(body)-1 {
+			return fmt.Errorf("exact pc %d: terminator %v before end of block", pc, ins.Op)
+		}
+		switch ins.Op {
+		case opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI, opIncJmpI, opDecJmpI, opLdIdxI, opLdIdxF, opStIdx,
+			opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN, opEndBlk:
+			return fmt.Errorf("exact pc %d: fused opcode %v in the exact stream", pc, ins.Op)
+		case opViewU, opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU,
+			opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU, opDivIU, opRemIU:
+			// The exact path is the checked fallback: an unchecked
+			// opcode here could silently skip a reference error.
+			return fmt.Errorf("exact pc %d: unchecked opcode %v in the exact stream", pc, ins.Op)
+		case opCall, opAlloc:
+			exactOnly = true
+		}
+	}
+	if exactOnly != b.ExactOnly {
+		return fmt.Errorf("ExactOnly %t for a block whose calls/allocations say %t", b.ExactOnly, exactOnly)
+	}
+	if b.ExactOnly {
+		if b.Start != -1 || b.End != -1 || b.Tpl != nil {
+			return fmt.Errorf("exact-only block carries fast bytecode [%d,%d) or a template", b.Start, b.End)
 		}
 	} else {
 		if b.Start < 0 || b.End < b.Start || int(b.End) > len(fc.Code) {
-			return fmt.Errorf("func %s: code range [%d,%d) out of bounds (%d) [%d insns]", fc.F.Name, b.Start, b.End, len(fc.Code), b.End-b.Start)
+			return fmt.Errorf("code range [%d,%d) out of bounds (%d)", b.Start, b.End, len(fc.Code))
 		}
+		addrs := 0
 		for pc := b.Start; pc < b.End; pc++ {
 			ins := &fc.Code[pc]
 			if err := verifyIns(p, fc, ins); err != nil {
@@ -151,36 +212,24 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 			if isTermOp(ins.Op) && pc != b.End-1 {
 				return fmt.Errorf("pc %d: terminator %v before end of block", pc, ins.Op)
 			}
-			if b.Exact {
-				switch ins.Op {
-				case opBrCmpI, opBrCmpF, opIncCmpBrI, opDecCmpBrI, opIncJmpI, opDecJmpI, opLdIdxI, opLdIdxF, opStIdx,
-					opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN:
-					return fmt.Errorf("pc %d: fused opcode %v in exact block", pc, ins.Op)
-				case opViewU, opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU,
-					opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU, opDivIU, opRemIU:
-					// The exact path is the checked fallback: an unchecked
-					// opcode here could silently skip a reference error.
-					return fmt.Errorf("pc %d: unchecked opcode %v in exact block", pc, ins.Op)
-				}
-			} else if ins.Op == opCall || ins.Op == opAlloc {
+			if ins.Op == opCall || ins.Op == opAlloc {
 				return fmt.Errorf("pc %d: exact-only opcode %v in fast block", pc, ins.Op)
 			}
-		}
-		if b.Exact && int(b.End) > len(fc.Lat) {
-			return fmt.Errorf("func %s: exact block [%d,%d) outside latency table (%d)", fc.F.Name, b.Start, b.End, len(fc.Lat))
+			if capturesAddr(ins.Op) {
+				addrs++
+			}
 		}
 		if b.Term != termNone && b.End > b.Start && !isTermOp(fc.Code[b.End-1].Op) {
 			return fmt.Errorf("terminated block ends in non-terminator %v", fc.Code[b.End-1].Op)
 		}
-		if !b.Exact && b.Term == termNone && (b.End == b.Start || fc.Code[b.End-1].Op != opEndBlk) {
+		if b.Term == termNone && (b.End == b.Start || fc.Code[b.End-1].Op != opEndBlk) {
 			return fmt.Errorf("dangling fast block does not end in endblk")
 		}
-		if b.Exact {
-			for pc := b.Start; pc < b.End; pc++ {
-				if fc.Code[pc].Op == opEndBlk {
-					return fmt.Errorf("pc %d: endblk in exact block", pc)
-				}
-			}
+		if b.Tpl == nil {
+			return fmt.Errorf("fast block without an HCPA template")
+		}
+		if err := verifyTpl(fc, b.Tpl, addrs); err != nil {
+			return err
 		}
 	}
 	switch b.Term {
@@ -192,30 +241,41 @@ func verifyBlock(p *Program, fc *FuncCode, b *BBlock) error {
 		if b.Edge0 < 0 || int(b.Edge0) >= len(fc.Edges) {
 			return fmt.Errorf("jump edge %d out of range (%d)", b.Edge0, len(fc.Edges))
 		}
-	case termNone:
-		// The slow path maps branches through the block's final terminator;
-		// a dangling block must therefore contain no branch at all.
-		for _, ins := range b.IR.Instrs {
-			if ins.Op == ir.OpBr || ins.Op == ir.OpJump {
-				return fmt.Errorf("dangling block contains mid-block branch")
+	}
+	return nil
+}
+
+// capturesAddr reports whether a fast-stream opcode touches one heap cell,
+// whose address HCPA mode captures for the block template.
+func capturesAddr(op opcode) bool {
+	switch op {
+	case opLoadI, opLoadF, opStore,
+		opLdIdxI, opLdIdxF, opStIdx, opLdIdx2I, opLdIdx2F, opStIdx2, opLdIdxNI, opLdIdxNF, opStIdxN,
+		opLdIdxIU, opLdIdxFU, opStIdxU, opLdIdx2IU, opLdIdx2FU, opStIdx2U, opLdIdxNIU, opLdIdxNFU, opStIdxNU:
+		return true
+	}
+	return false
+}
+
+// verifyTpl checks that a template references only shadow registers and
+// consumes exactly addrs captured cell addresses.
+func verifyTpl(fc *FuncCode, tpl *kremlib.BlockTemplate, addrs int) error {
+	for i := range tpl.Ins {
+		ti := &tpl.Ins[i]
+		if ti.Res >= fc.ConstBase {
+			return fmt.Errorf("template ins %d: result %d is not a shadow register", i, ti.Res)
+		}
+		for _, a := range ti.Args {
+			if a < 0 || a >= fc.ConstBase {
+				return fmt.Errorf("template ins %d: arg %d is not a shadow register", i, a)
 			}
+		}
+		if ti.Kind == kremlib.TplLoad || ti.Kind == kremlib.TplStore {
+			addrs--
 		}
 	}
-	if b.Tpl != nil {
-		if b.NeedsSlow {
-			return fmt.Errorf("NeedsSlow block carries an HCPA template")
-		}
-		for i := range b.Tpl.Ins {
-			ti := &b.Tpl.Ins[i]
-			if ti.Res >= fc.ConstBase {
-				return fmt.Errorf("template ins %d: result %d is not a shadow register", i, ti.Res)
-			}
-			for _, a := range ti.Args {
-				if a < 0 || a >= fc.ConstBase {
-					return fmt.Errorf("template ins %d: arg %d is not a shadow register", i, a)
-				}
-			}
-		}
+	if addrs != 0 {
+		return fmt.Errorf("template consumes %d cell addresses fewer than the fast stream captures", addrs)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"kremlin/internal/ast"
+	"kremlin/internal/inccache"
 	"kremlin/internal/interp"
 	"kremlin/internal/ir"
 	"kremlin/internal/kremlib"
@@ -56,13 +57,23 @@ type machine struct {
 	printedAny bool
 
 	// regPool recycles register files across calls; phiScratch is the
-	// parallel-copy buffer for edge phi moves; argScratch carries call
-	// arguments (safe to share across nested calls: the callee copies
-	// them into its registers before executing any instruction). All
-	// three keep the steady-state dispatch loop allocation-free.
+	// parallel-copy buffer for edge phi moves; argScratch and vecScratch
+	// carry call arguments and their shadow vectors (safe to share across
+	// nested calls: the callee copies them into its registers before
+	// executing any instruction). All keep the steady-state dispatch loop
+	// allocation-free.
 	regPool    [][]val
 	phiScratch []val
 	argScratch []val
+	vecScratch []shadow.Vec
+
+	// addrs collects, in HCPA mode, the cell address of every load and
+	// store the fast path executes, in program order — the block
+	// template's shadow-memory operands, consumed by StepBlock.
+	addrs []uint64
+	// batched counts the HCPA steps whose shadow updates went through
+	// StepBlock (Result.BatchedSteps).
+	batched uint64
 
 	// dimArena backs every arr's dimension vector (see arr). Globals'
 	// entries sit at the bottom for the machine's lifetime; runtime
@@ -130,6 +141,7 @@ func Run(p *Program, cfg interp.Config) (*interp.Result, error) {
 		res.ShadowPages = m.rt.Mem().NumPages()
 		res.ShadowWrites = m.rt.Mem().Writes
 		res.CarriedDeps = m.rt.CarriedDeps()
+		res.BatchedSteps = m.batched
 	case interp.Probe:
 		m.probeFlush()
 		res.Work = m.work
@@ -425,12 +437,13 @@ func (m *machine) putRegs(r []val) {
 
 // call executes fc. The structure mirrors interp's call loop exactly, with
 // per-block batching layered on: block entry handles control-stack
-// maintenance and the incoming edge's phi moves/Steps, then the block body
-// runs on the check-free fast path when its precomputed step count fits
-// the budget, crosses no liveness-poll boundary, and (in HCPA) the block
-// carries a batched template; otherwise it runs the per-instruction
-// reference path.
+// maintenance and the incoming edge's phi moves and phi template, then the
+// block body runs on the check-free fast path (with one StepBlock in HCPA)
+// when it has no call or allocation, its precomputed step count fits the
+// budget, and it crosses no liveness-poll boundary; otherwise it runs the
+// exact per-instruction stream.
 func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS *kremlib.FrameState) (val, shadow.Vec, error) {
+	fc.lower()
 	regs := m.getRegs(fc)
 	watermark := m.heapTop
 	dimsMark := len(m.dimArena)
@@ -470,7 +483,7 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 		}
 		if in != nil && in.NPhis > 0 {
 			// Phi values are a parallel copy against the pre-state; the
-			// shadow Steps run afterwards in phi order (they read only
+			// shadow updates run afterwards in phi order (they read only
 			// shadow registers, so the split is exact). A single move
 			// needs no scratch.
 			moves := in.Moves
@@ -489,9 +502,8 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 				}
 			}
 			if fs != nil {
-				for _, phi := range in.Phis {
-					m.rt.Step(fs, phi, 0, int(in.PredIdx))
-				}
+				m.rt.StepBlock(fs, in.PhiTpl, nil)
+				m.batched += uint64(in.NPhis)
 			}
 			m.steps += uint64(in.NPhis)
 		}
@@ -499,43 +511,33 @@ func (m *machine) call(fc *FuncCode, args []val, argVecs []shadow.Vec, callerFS 
 		n := uint64(b.NSteps)
 		var edge int32
 		var returned bool
-		if !b.NeedsSlow &&
+		var rv val
+		var err error
+		if !b.ExactOnly &&
 			m.steps+n <= m.limit &&
-			(m.steps+n)>>limits.LiveCheckShift == m.steps>>limits.LiveCheckShift &&
-			(fs == nil || b.Tpl != nil) {
+			(m.steps+n)>>limits.LiveCheckShift == m.steps>>limits.LiveCheckShift {
 			m.steps += n
 			if fs == nil {
 				m.work += b.LatSum
+			} else {
+				m.addrs = m.addrs[:0]
 			}
-			var rv val
-			var err error
 			edge, rv, returned, err = m.execFast(fc, regs, b, m.cfg.Mode == interp.Plain)
-			if err != nil {
-				return val{}, nil, err
-			}
-			if returned {
-				retVal = rv
-			}
-			if fs != nil {
-				brVec := m.rt.StepBlock(fs, b.Tpl)
+			if err == nil && fs != nil {
+				brVec := m.rt.StepBlock(fs, b.Tpl, m.addrs)
+				m.batched += n
 				if b.HasPush {
 					m.rt.PushCtrl(fs, b.IR, b.PopAt, brVec)
 				}
 			}
 		} else {
-			var rv val
-			var err error
-			if b.Exact && fs == nil {
-				edge, rv, returned, err = m.execExact(fc, regs, b)
-			} else {
-				edge, rv, returned, err = m.execSlow(fc, regs, b, fs)
-			}
-			if err != nil {
-				return val{}, nil, err
-			}
-			if returned {
-				retVal = rv
-			}
+			edge, rv, returned, err = m.execExact(fc, regs, b, fs)
+		}
+		if err != nil {
+			return val{}, nil, err
+		}
+		if returned {
+			retVal = rv
 		}
 
 		if returned || edge < 0 {
@@ -603,7 +605,8 @@ func cmpRes(lt, eq bool, k ir.BinKind) bool {
 
 // execFast runs block bytecode with no per-instruction checks and no
 // profiling calls (step/work totals were batched by the caller; HCPA
-// effects replay via StepBlock afterwards). It returns the taken edge
+// effects replay via StepBlock afterwards, against the load/store cell
+// addresses collected here in m.addrs). It returns the taken edge
 // index, or returned=true with the return value, or edge -1 when the
 // block dangles (the function then ends, as in the reference engine).
 //
@@ -621,6 +624,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 	adims := m.dimArena
 	pc := b.Start
 	edge := int32(-1)
+	hcpa := m.rt != nil
 	for {
 		ins := &code[pc]
 		pc++
@@ -701,9 +705,13 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLoadI:
-			regs[ins.Dst].i = int64(heap[regs[ins.A].a.base-interp.HeapBase])
+			cell := regs[ins.A].a.base
+			regs[ins.Dst].i = int64(heap[cell-interp.HeapBase])
+			m.capture(hcpa, cell)
 		case opLoadF:
-			regs[ins.Dst].f = math.Float64frombits(heap[regs[ins.A].a.base-interp.HeapBase])
+			cell := regs[ins.A].a.base
+			regs[ins.Dst].f = math.Float64frombits(heap[cell-interp.HeapBase])
+			m.capture(hcpa, cell)
 		case opStore:
 			cell := regs[ins.A].a
 			v := regs[ins.B]
@@ -714,6 +722,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[cell.base-interp.HeapBase] = bits
+			m.capture(hcpa, cell.base)
 		case opBrCmpI:
 			x, y := regs[ins.A].i, regs[ins.B].i
 			if cmpRes(x < y, x == y, ir.BinKind(ins.C)) {
@@ -754,6 +763,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				return 0, val{}, false, m.errAt(int(ins.Pos), "index %d out of range [0,%d)", idx, adims[a.doff])
 			}
 			regs[ins.Dst].i = int64(heap[a.base+uint64(idx)-interp.HeapBase])
+			m.capture(hcpa, a.base+uint64(idx))
 		case opLdIdxF:
 			a := regs[ins.A].a
 			idx := regs[ins.B].i
@@ -764,6 +774,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				return 0, val{}, false, m.errAt(int(ins.Pos), "index %d out of range [0,%d)", idx, adims[a.doff])
 			}
 			regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(idx)-interp.HeapBase])
+			m.capture(hcpa, a.base+uint64(idx))
 		case opStIdx:
 			a := regs[ins.A].a
 			idx := regs[ins.B].i
@@ -781,6 +792,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[a.base+uint64(idx)-interp.HeapBase] = bits
+			m.capture(hcpa, a.base+uint64(idx))
 		case opLdIdx2I:
 			// In-bounds rank-2 access is inlined; idx2 is the cold path
 			// that reproduces the reference engine's errors.
@@ -790,6 +802,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				d1 := adims[a.doff+1]
 				if uint64(i) < uint64(adims[a.doff]) && uint64(j) < uint64(d1) {
 					regs[ins.Dst].i = int64(heap[a.base+uint64(i*d1+j)-interp.HeapBase])
+					m.capture(hcpa, a.base+uint64(i*d1+j))
 					break
 				}
 			}
@@ -798,6 +811,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				return 0, val{}, false, err
 			}
 			regs[ins.Dst].i = int64(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdx2F:
 			a := regs[ins.A].a
 			i, j := regs[ins.B].i, regs[ins.C].i
@@ -805,6 +819,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				d1 := adims[a.doff+1]
 				if uint64(i) < uint64(adims[a.doff]) && uint64(j) < uint64(d1) {
 					regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(i*d1+j)-interp.HeapBase])
+					m.capture(hcpa, a.base+uint64(i*d1+j))
 					break
 				}
 			}
@@ -813,6 +828,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				return 0, val{}, false, err
 			}
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opStIdx2:
 			a := regs[ins.A].a
 			i, j := regs[ins.B].i, regs[ins.C].i
@@ -827,6 +843,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 						bits = uint64(v.i)
 					}
 					heap[a.base+uint64(i*d1+j)-interp.HeapBase] = bits
+					m.capture(hcpa, a.base+uint64(i*d1+j))
 					break
 				}
 			}
@@ -842,18 +859,21 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[cell] = bits
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdxNI:
 			cell, err := idxN(m, adims, fc, regs, ins)
 			if err != nil {
 				return 0, val{}, false, err
 			}
 			regs[ins.Dst].i = int64(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdxNF:
 			cell, err := idxN(m, adims, fc, regs, ins)
 			if err != nil {
 				return 0, val{}, false, err
 			}
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opStIdxN:
 			cell, err := idxN(m, adims, fc, regs, ins)
 			if err != nil {
@@ -867,6 +887,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[cell] = bits
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opDivIU:
 			// Unchecked variants: absint proved the fault condition
 			// impossible (divisor nonzero / every index level in bounds),
@@ -883,11 +904,13 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLdIdxIU:
-			a := regs[ins.A].a
-			regs[ins.Dst].i = int64(heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase])
+			cell := regs[ins.A].a.base + uint64(regs[ins.B].i)
+			regs[ins.Dst].i = int64(heap[cell-interp.HeapBase])
+			m.capture(hcpa, cell)
 		case opLdIdxFU:
-			a := regs[ins.A].a
-			regs[ins.Dst].f = math.Float64frombits(heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase])
+			cell := regs[ins.A].a.base + uint64(regs[ins.B].i)
+			regs[ins.Dst].f = math.Float64frombits(heap[cell-interp.HeapBase])
+			m.capture(hcpa, cell)
 		case opStIdxU:
 			a := regs[ins.A].a
 			v := regs[ins.C]
@@ -898,14 +921,17 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[a.base+uint64(regs[ins.B].i)-interp.HeapBase] = bits
+			m.capture(hcpa, a.base+uint64(regs[ins.B].i))
 		case opLdIdx2IU:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
 			regs[ins.Dst].i = int64(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdx2FU:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
 			regs[ins.Dst].f = math.Float64frombits(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opStIdx2U:
 			a := regs[ins.A].a
 			cell := a.base + uint64(regs[ins.B].i*adims[a.doff+1]+regs[ins.C].i) - interp.HeapBase
@@ -917,10 +943,15 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[cell] = bits
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdxNIU:
-			regs[ins.Dst].i = int64(heap[idxNU(adims, fc, regs, ins)])
+			cell := idxNU(adims, fc, regs, ins)
+			regs[ins.Dst].i = int64(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opLdIdxNFU:
-			regs[ins.Dst].f = math.Float64frombits(heap[idxNU(adims, fc, regs, ins)])
+			cell := idxNU(adims, fc, regs, ins)
+			regs[ins.Dst].f = math.Float64frombits(heap[cell])
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opStIdxNU:
 			cell := idxNU(adims, fc, regs, ins)
 			v := regs[ins.Dst]
@@ -931,6 +962,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 				bits = uint64(v.i)
 			}
 			heap[cell] = bits
+			m.capture(hcpa, cell+interp.HeapBase)
 		case opSqrt:
 			regs[ins.Dst].f = math.Sqrt(regs[ins.A].f)
 		case opFabs:
@@ -1031,7 +1063,7 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 		e := &fc.Edges[edge]
 		nb := &fc.Blocks[e.Target]
 		n := uint64(e.NPhis) + uint64(nb.NSteps)
-		if nb.NeedsSlow || m.steps+n > m.limit ||
+		if nb.ExactOnly || m.steps+n > m.limit ||
 			(m.steps+n)>>limits.LiveCheckShift != m.steps>>limits.LiveCheckShift {
 			return edge, val{}, false, nil
 		}
@@ -1058,20 +1090,26 @@ func (m *machine) execFast(fc *FuncCode, regs []val, b *BBlock, chain bool) (int
 	}
 }
 
-// execExact runs an exact block's unfused bytecode with the reference
-// engine's per-instruction accounting: every instruction pays the step
-// increment, budget check, liveness poll, and work accrual in exactly
-// internal/interp's order, so mid-block budget stops, heap-cap failures,
-// and partial results stay bit-identical. It serves NeedsSlow blocks
-// (calls, allocations) in non-HCPA modes, replacing execSlow's
-// interface-heavy IR walk with register-indexed dispatch; HCPA keeps the
-// reference walk because it needs per-IR shadow Steps. m.heap and
-// m.dimArena are deliberately not cached in locals: opCall and opAlloc
-// can grow or reallocate both.
-func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bool, error) {
-	code := fc.Code
-	lat := fc.Lat
-	for pc := b.Start; pc < b.End; pc++ {
+// capture records a load or store's cell address for the block template
+// when on (HCPA mode).
+func (m *machine) capture(on bool, addr uint64) {
+	if on {
+		m.addrs = append(m.addrs, addr)
+	}
+}
+
+// execExact runs a block's exact stream with the reference engine's
+// per-instruction accounting: every instruction pays the step increment,
+// budget check, liveness poll, work accrual, and (with fs, in HCPA mode)
+// its kremlib.Step in exactly internal/interp's order, so mid-block budget
+// stops, heap-cap failures, cancellations, and partial results stay
+// bit-identical. m.heap and m.dimArena are deliberately not cached in
+// locals: opCall and opAlloc can grow or reallocate both.
+func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock, fs *kremlib.FrameState) (int32, val, bool, error) {
+	code := fc.Exact
+	edge, returned := int32(-1), false
+	var retVal val
+	for pc := b.XStart; pc < b.XEnd; pc++ {
 		ins := &code[pc]
 		m.steps++
 		if m.steps > m.limit {
@@ -1082,9 +1120,13 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 				return 0, val{}, false, err
 			}
 		}
-		m.work += uint64(lat[pc])
+		if fs == nil {
+			m.work += fc.ExactIR[pc].Latency()
+		}
+		var addr uint64 // the cell a load or store touches (HCPA Step)
 		switch ins.Op {
 		case opNop:
+			continue // a param: valued at call entry, never Stepped
 		case opAddI:
 			regs[ins.Dst].i = regs[ins.A].i + regs[ins.B].i
 		case opSubI:
@@ -1156,9 +1198,11 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			}
 			regs[ins.Dst].a = arr{base: a.base + uint64(idx*stride), doff: a.doff + 1, rank: a.rank - 1, elem: a.elem}
 		case opLoadI:
-			regs[ins.Dst].i = int64(m.heap[regs[ins.A].a.base-interp.HeapBase])
+			addr = regs[ins.A].a.base
+			regs[ins.Dst].i = int64(m.heap[addr-interp.HeapBase])
 		case opLoadF:
-			regs[ins.Dst].f = math.Float64frombits(m.heap[regs[ins.A].a.base-interp.HeapBase])
+			addr = regs[ins.A].a.base
+			regs[ins.Dst].f = math.Float64frombits(m.heap[addr-interp.HeapBase])
 		case opStore:
 			cell := regs[ins.A].a
 			v := regs[ins.B]
@@ -1168,11 +1212,14 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			} else {
 				bits = uint64(v.i)
 			}
-			m.heap[cell.base-interp.HeapBase] = bits
+			addr = cell.base
+			m.heap[addr-interp.HeapBase] = bits
 		case opCall:
-			if err := m.callOp(fc, regs, ins); err != nil {
+			// The call's Step precedes the callee (see callOp).
+			if err := m.callOp(fc, regs, ins, fc.ExactIR[pc], fs); err != nil {
 				return 0, val{}, false, err
 			}
+			continue
 		case opAlloc:
 			v, err := m.allocOp(fc, regs, ins)
 			if err != nil {
@@ -1253,28 +1300,41 @@ func (m *machine) execExact(fc *FuncCode, regs []val, b *BBlock) (int32, val, bo
 			m.printedAny = false
 		case opBr:
 			if regs[ins.A].i != 0 {
-				return b.Edge0, val{}, false, nil
+				edge = b.Edge0
+			} else {
+				edge = b.Edge1
 			}
-			return b.Edge1, val{}, false, nil
 		case opJump:
-			return b.Edge0, val{}, false, nil
+			edge = b.Edge0
 		case opRetVal:
-			return -1, regs[ins.A], true, nil
+			retVal, returned = regs[ins.A], true
 		case opRetVoid:
-			return -1, val{}, true, nil
+			returned = true
 		default:
-			// Unreachable for verified code (exact blocks are unfused).
+			// Unreachable for verified code (the exact stream is unfused).
 			return 0, val{}, false, m.errAt(int(ins.Pos), "unknown opcode %v", ins.Op)
+		}
+		if fs != nil {
+			vec := m.rt.Step(fs, fc.ExactIR[pc], addr, -1)
+			if ins.Op == opBr && b.HasPush {
+				m.rt.PushCtrl(fs, b.IR, b.PopAt, vec)
+			}
+		}
+		if edge >= 0 || returned {
+			return edge, retVal, returned, nil
 		}
 	}
 	// Dangling block: the function ends (mirrors interp's next == nil).
 	return -1, val{}, false, nil
 }
 
-// callOp is execExact's OpCall: argument registers come precompiled in
-// IdxRegs, the callee by function index. The semantics — argument
-// gathering order, result write — mirror doCall with fs == nil.
-func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins) error {
+// callOp is execExact's OpCall (call is its IR instruction): argument
+// registers come precompiled in IdxRegs, the callee by function index. The
+// semantics mirror interp's doCall: in HCPA mode the call's own Step, the
+// argument vectors handed to the callee frame, the incremental cache's
+// replay-or-record around the call, and FinishCall merging the return
+// vector.
+func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins, call *ir.Instr, fs *kremlib.FrameState) error {
 	if cap(m.argScratch) < int(ins.C) {
 		m.argScratch = make([]val, ins.C)
 	}
@@ -1282,12 +1342,85 @@ func (m *machine) callOp(fc *FuncCode, regs []val, ins *Ins) error {
 	for i, r := range fc.IdxRegs[ins.B : ins.B+ins.C] {
 		args[i] = regs[r]
 	}
-	ret, _, err := m.call(m.p.Funcs[ins.A], args, nil, nil)
+	var argVecs []shadow.Vec
+	if fs != nil {
+		m.rt.Step(fs, call, 0, -1)
+		argVecs = m.vecScratch[:0]
+		for _, a := range call.Args {
+			var v shadow.Vec
+			if ai, ok := a.(*ir.Instr); ok {
+				v = fs.Regs.Get(ai.ID)
+			}
+			argVecs = append(argVecs, v)
+		}
+		m.vecScratch = argVecs
+	}
+	var rec *inccache.Recording
+	sess := m.cfg.Cache
+	if sess != nil && fs != nil && sess.Cacheable(call.Callee) {
+		bits := vmArgBits(call.Callee, args)
+		if hit, ok := sess.TrySkip(call.Callee, call, fs, bits, argVecs, m.steps, m.limit, m.heapTop, m.heapCap); ok {
+			m.steps += hit.Steps
+			if p := m.heapTop + hit.PeakHeap; p > m.heapPeak {
+				m.heapPeak = p
+			}
+			regs[ins.Dst] = vmValFromBits(call.Callee.Ret, hit.RetBits)
+			return nil
+		}
+		rec = sess.BeginRecord(call.Callee, bits, m.steps)
+	}
+	savedPeak := m.heapPeak
+	if rec != nil {
+		// Track the extent's own heap high-water mark so the record can
+		// reproduce heap-cap failures exactly on replay.
+		m.heapPeak = m.heapTop
+	}
+	ret, retVec, err := m.call(m.p.Funcs[ins.A], args, argVecs, fs)
 	if err != nil {
 		return err
 	}
+	if rec != nil {
+		sess.EndRecord(rec, m.steps, vmRetBits(call.Callee.Ret, ret), retVec, m.heapPeak-m.heapTop)
+		if savedPeak > m.heapPeak {
+			m.heapPeak = savedPeak
+		}
+	}
 	regs[ins.Dst] = ret
+	if fs != nil {
+		m.rt.FinishCall(fs, call, retVec)
+	}
 	return nil
+}
+
+// vmArgBits canonicalizes scalar call arguments for cache keying,
+// bit-for-bit the reference interpreter's callArgBits.
+func vmArgBits(f *ir.Func, args []val) []uint64 {
+	bits := make([]uint64, len(f.Params))
+	for i, p := range f.Params {
+		if i >= len(args) {
+			break
+		}
+		if p.Typ.Elem == ast.Float {
+			bits[i] = math.Float64bits(args[i].f)
+		} else {
+			bits[i] = uint64(args[i].i)
+		}
+	}
+	return bits
+}
+
+func vmValFromBits(ret ast.BasicKind, bits uint64) val {
+	if ret == ast.Float {
+		return val{f: math.Float64frombits(bits)}
+	}
+	return val{i: int64(bits)}
+}
+
+func vmRetBits(ret ast.BasicKind, v val) uint64 {
+	if ret == ast.Float {
+		return math.Float64bits(v.f)
+	}
+	return uint64(v.i)
 }
 
 // allocOp is execExact's OpAllocArray: same dimension validation order,

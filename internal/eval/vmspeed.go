@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 
@@ -34,6 +35,10 @@ type VMSpeedRow struct {
 	HCPAVM      time.Duration `json:"hcpa_vm_ns"`
 	HCPATree    time.Duration `json:"hcpa_tree_ns"`
 	HCPASpeedup float64       `json:"hcpa_speedup"`
+	// HCPABatchedFrac is the share of the VM's HCPA steps whose shadow
+	// updates went through block templates (StepBlock) rather than
+	// per-instruction Steps.
+	HCPABatchedFrac float64 `json:"hcpa_batched_frac"`
 
 	// Bounds-check elimination: the same VM with absint facts withheld
 	// (-absint=off), so every check stays explicit. The unchecked build
@@ -69,17 +74,32 @@ type VMSpeedSummary struct {
 // timeBest runs f repeats times and returns the fastest wall-clock (the
 // usual best-of-N noise filter for single-process benchmarking).
 func timeBest(repeats int, f func() error) (time.Duration, error) {
-	best := time.Duration(math.MaxInt64)
+	best, _, err := timeBestPair(repeats, f, nil)
+	return best, err
+}
+
+// timeBestPair is timeBest for two contenders whose runs alternate, so a
+// slow stretch of a shared machine hits both alike instead of whichever
+// happened to be timed during it. Each run starts from a collected heap,
+// so neither pays for the other's garbage. A nil g is skipped.
+func timeBestPair(repeats int, f, g func() error) (time.Duration, time.Duration, error) {
+	best := [2]time.Duration{time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)}
 	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		if d := time.Since(start); d < best {
-			best = d
+		for k, h := range [2]func() error{f, g} {
+			if h == nil {
+				continue
+			}
+			runtime.GC()
+			start := time.Now()
+			if err := h(); err != nil {
+				return 0, 0, err
+			}
+			if d := time.Since(start); d < best[k] {
+				best[k] = d
+			}
 		}
 	}
-	return best, nil
+	return best[0], best[1], nil
 }
 
 // VMSpeed measures the engine comparison over the named benchmarks (nil =
@@ -129,23 +149,19 @@ func VMSpeed(names []string, repeats int) (*VMSpeedSummary, error) {
 		// Plain mode: output + counters must match across engines.
 		var vmOut, treeOut strings.Builder
 		var vmRes, treeRes *interp.Result
-		row.PlainVM, err = timeBest(repeats, func() error {
+		row.PlainVM, row.PlainTree, err = timeBestPair(repeats, func() error {
 			vmOut.Reset()
 			r, err := prog.Run(&kremlin.RunConfig{Out: &vmOut})
 			vmRes = r
 			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("eval: %s plain vm: %w", b.Name, err)
-		}
-		row.PlainTree, err = timeBest(repeats, func() error {
+		}, func() error {
 			treeOut.Reset()
 			r, err := prog.Run(&kremlin.RunConfig{Out: &treeOut, Engine: kremlin.EngineTree})
 			treeRes = r
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("eval: %s plain tree: %w", b.Name, err)
+			return nil, fmt.Errorf("eval: %s plain: %w", b.Name, err)
 		}
 		row.Steps = vmRes.Steps
 		row.OutputEqual = vmOut.String() == treeOut.String()
@@ -173,15 +189,14 @@ func VMSpeed(names []string, repeats int) (*VMSpeedSummary, error) {
 		// HCPA mode: profiles must serialize byte-identically and plan
 		// identically.
 		var vmProf, treeProf *profile.Profile
-		row.HCPAVM, err = timeBest(repeats, func() error {
-			p, _, err := prog.Profile(nil)
+		row.HCPAVM, row.HCPATree, err = timeBestPair(repeats, func() error {
+			p, r, err := prog.Profile(nil)
 			vmProf = p
+			if err == nil {
+				row.HCPABatchedFrac = float64(r.BatchedSteps) / float64(r.Steps)
+			}
 			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("eval: %s hcpa vm: %w", b.Name, err)
-		}
-		row.HCPATree, err = timeBest(repeats, func() error {
+		}, func() error {
 			p, r, err := prog.Profile(&kremlin.RunConfig{Engine: kremlin.EngineTree})
 			treeProf = p
 			if err == nil && (r.Work != vmRes.Work || r.Steps != vmRes.Steps) {
@@ -190,7 +205,7 @@ func VMSpeed(names []string, repeats int) (*VMSpeedSummary, error) {
 			return err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("eval: %s hcpa tree: %w", b.Name, err)
+			return nil, fmt.Errorf("eval: %s hcpa: %w", b.Name, err)
 		}
 		var vb, tb bytes.Buffer
 		if _, err := vmProf.WriteTo(&vb); err != nil {

@@ -19,3 +19,17 @@ func ReversionForTest(data []byte) []byte {
 	binary.LittleEndian.PutUint64(out[len(out)-8:], h.Sum64())
 	return out
 }
+
+// SetMaxModulesForTest bounds the per-module analysis memo to n entries.
+func (s *Store) SetMaxModulesForTest(n int) {
+	s.mu.Lock()
+	s.maxMods = n
+	s.mu.Unlock()
+}
+
+// ModulesForTest returns the number of memoized module analyses.
+func (s *Store) ModulesForTest() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.mods)
+}

@@ -154,7 +154,9 @@ type Store struct {
 	mu         sync.Mutex
 	recs       map[Key][]*Record
 	dirty      map[Key]bool
-	mods       map[*ir.Module]*modInfo
+	mods       map[*ir.Module]*modEntry // LRU memo, at most maxMods entries
+	maxMods    int
+	modClock   uint64
 	corrupt    int
 	nRecords   int
 	maxRecords int            // 0 = unbounded
@@ -172,7 +174,8 @@ func Open(dir string) (*Store, error) {
 		dir:     dir,
 		recs:    make(map[Key][]*Record),
 		dirty:   make(map[Key]bool),
-		mods:    make(map[*ir.Module]*modInfo),
+		mods:    make(map[*ir.Module]*modEntry),
+		maxMods: maxModules,
 		lastUse: make(map[Key]uint64),
 	}
 	if err := s.loadAll(); err != nil {
@@ -181,17 +184,47 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
+// maxModules bounds the per-module analysis memo: twice the serve daemon's
+// default compile cache, so every program that cache holds keeps its
+// analysis.
+const maxModules = 512
+
+type modEntry struct {
+	info *modInfo
+	use  uint64 // LRU clock value
+}
+
+// modInfo returns the memoized analysis of regs.Module, computing it on a
+// miss. The memo is keyed by module pointer, and a daemon compiles a fresh
+// module for every program it has not cached, so it is an LRU bounded by
+// maxMods; an evicted module is simply analyzed again.
+func (s *Store) modInfo(regs *regions.Program) *modInfo {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.modClock++
+	if e := s.mods[regs.Module]; e != nil {
+		e.use = s.modClock
+		return e.info
+	}
+	if len(s.mods) >= s.maxMods {
+		var victim *ir.Module
+		oldest := s.modClock
+		for m, e := range s.mods {
+			if e.use < oldest {
+				victim, oldest = m, e.use
+			}
+		}
+		delete(s.mods, victim)
+	}
+	e := &modEntry{info: newModInfo(regs), use: s.modClock}
+	s.mods[regs.Module] = e
+	return e.info
+}
+
 // Session prepares a profiling session for one compiled program against the
 // store. The module analysis is memoized per module pointer.
 func (s *Store) Session(regs *regions.Program) *Session {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
-	return &Session{store: s, info: mi}
+	return &Session{store: s, info: s.modInfo(regs)}
 }
 
 // SessionScoped is Session with keyspace isolation: every content key this
@@ -343,13 +376,7 @@ func argsEqual(a, b []uint64) bool {
 // Keys returns every function's transitive content key by name — the
 // debug/test surface behind -cache-stats.
 func (s *Store) Keys(regs *regions.Program) map[string]string {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
+	mi := s.modInfo(regs)
 	out := make(map[string]string, len(mi.facts))
 	for f, fact := range mi.facts {
 		out[f.Name] = fact.key.String()
@@ -360,13 +387,7 @@ func (s *Store) Keys(regs *regions.Program) map[string]string {
 // SealedFuncs returns the names of the functions whose call extents the
 // cache may record and replay, sorted.
 func (s *Store) SealedFuncs(regs *regions.Program) []string {
-	s.mu.Lock()
-	mi := s.mods[regs.Module]
-	if mi == nil {
-		mi = newModInfo(regs)
-		s.mods[regs.Module] = mi
-	}
-	s.mu.Unlock()
+	mi := s.modInfo(regs)
 	var out []string
 	for f, fact := range mi.facts {
 		if fact.sealed {

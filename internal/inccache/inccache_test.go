@@ -446,3 +446,46 @@ func TestSessionStatsHitRate(t *testing.T) {
 		t.Fatalf("empty HitRate should be 0")
 	}
 }
+
+// TestModuleMemoBounded checks the per-module analysis memo is an LRU: a
+// stream of far more distinct modules than the bound leaves it at the
+// bound, and a repeated module hits and misses the record cache exactly as
+// with an unbounded memo (an evicted module's analysis is recomputed, not
+// lost).
+func TestModuleMemoBounded(t *testing.T) {
+	const bound = 4
+	run := func(st *inccache.Store, max int) []inccache.Stats {
+		var repeated []inccache.Stats
+		for i := 0; i < 40; i++ {
+			// A fresh module every time, as a daemon compiling uncached
+			// programs produces; every fifth is the repeated program.
+			src := fmt.Sprintf("int main() { print(%d); return 0; }\n", i)
+			if i%5 == 0 {
+				src = srcBase
+			}
+			_, _, _, stats := runProfile(t, src, st, kremlin.EngineVM)
+			if n := st.ModulesForTest(); n > max {
+				t.Fatalf("memo holds %d modules, bound %d", n, max)
+			}
+			if i%5 == 0 {
+				repeated = append(repeated, stats)
+			}
+		}
+		return repeated
+	}
+	bounded := openStore(t, t.TempDir())
+	bounded.SetMaxModulesForTest(bound)
+	got := run(bounded, bound)
+	if n := bounded.ModulesForTest(); n != bound {
+		t.Fatalf("memo holds %d modules after 40 distinct ones, want the bound %d", n, bound)
+	}
+	unbounded := openStore(t, t.TempDir())
+	unbounded.SetMaxModulesForTest(1 << 20)
+	want := run(unbounded, 1<<20)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("repeated-module stats diverge from the unbounded memo:\nbounded   %+v\nunbounded %+v", got, want)
+	}
+	if want[len(want)-1].Hits == 0 {
+		t.Fatalf("repeated module never hit the record cache: %+v", want)
+	}
+}

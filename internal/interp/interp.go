@@ -84,6 +84,10 @@ type Result struct {
 	// exhibited a dynamic loop-carried flow dependence. Only populated in
 	// HCPA mode with Options.TraceDeps set.
 	CarriedDeps []int
+	// BatchedSteps counts the HCPA steps whose shadow updates the bytecode
+	// VM applied through block templates (kremlib.StepBlock) rather than
+	// per-instruction Steps. Always 0 for this interpreter.
+	BatchedSteps uint64
 }
 
 // RuntimeError is an execution failure annotated with a source offset.

@@ -167,11 +167,16 @@ func (rt *Runtime) EnterRegion(r *regions.Region) {
 	if d := len(rt.stack) + 1; d > rt.maxDepth {
 		rt.maxDepth = d
 	}
-	rt.stack = append(rt.stack, active{
-		region:    r,
-		instance:  rt.nextInstance,
-		entryWork: rt.totalWork,
-	})
+	a := active{region: r, instance: rt.nextInstance, entryWork: rt.totalWork}
+	if n := len(rt.stack); n < cap(rt.stack) {
+		// Reuse the child-run storage of the instance that last held this
+		// level (ExitRegion interned it without retaining it).
+		rt.stack = rt.stack[:n+1]
+		a.children = rt.stack[n].children[:0]
+		rt.stack[n] = a
+	} else {
+		rt.stack = append(rt.stack, a)
+	}
 	rt.syncTags()
 }
 
@@ -401,28 +406,39 @@ func (rt *Runtime) argVec(fs *FrameState, v ir.Value) shadow.Vec {
 	return nil
 }
 
-// maxInto folds vec's availability times into out over levels [lo, d),
-// applying the tag-mismatch-is-zero rule. A free function (not a closure)
-// so Step's level loops compile without a closure environment.
-func maxInto(out shadow.Vec, tags []uint64, vec shadow.Vec, lo, d int) {
+// maxInto folds vec's availability times, plus add, into out over levels
+// [lo, d), applying the tag-mismatch-is-zero rule. A free function (not a
+// closure) so Step's level loops compile without a closure environment.
+func maxInto(out shadow.Vec, tags []uint64, vec shadow.Vec, lo, d int, add uint64) {
 	if n := len(vec); n < d {
 		d = n
 	}
-	for l := lo; l < d; l++ {
-		if e := vec[l]; e.Tag == tags[l] && e.Time > out[l].Time {
-			out[l].Time = e.Time
+	if lo >= d {
+		return
+	}
+	// Equal-length windows let the compiler drop per-level bounds checks.
+	vec = vec[lo:d]
+	out, tags = out[lo:][:len(vec)], tags[lo:][:len(vec)]
+	for l := range vec {
+		if e := vec[l]; e.Tag == tags[l] && e.Time+add > out[l].Time {
+			out[l].Time = e.Time + add
 		}
 	}
 }
 
 // maxIntoSlot is maxInto over a borrowed shadow-memory slot (the
 // allocation-free load path).
-func maxIntoSlot(out shadow.Vec, tags []uint64, s shadow.Slot, lo, d int) {
+func maxIntoSlot(out shadow.Vec, tags []uint64, s shadow.Slot, lo, d int, add uint64) {
 	if n := len(s.Times); n < d {
 		d = n
 	}
-	for l := lo; l < d; l++ {
-		if t := s.Times[l]; s.Tags[l] == tags[l] && t > out[l].Time {
+	if lo >= d {
+		return
+	}
+	times := s.Times[lo:d]
+	stags, out, tags := s.Tags[lo:][:len(times)], out[lo:][:len(times)], tags[lo:][:len(times)]
+	for l := range times {
+		if t := times[l] + add; stags[l] == tags[l] && t > out[l].Time {
 			out[l].Time = t
 		}
 	}
@@ -470,25 +486,25 @@ func (rt *Runtime) Step(fs *FrameState, ins *ir.Instr, addr uint64, predIdx int)
 	switch ins.Op {
 	case ir.OpPhi:
 		if !ins.Induction && predIdx >= 0 && predIdx < len(ins.Args) {
-			maxInto(out, tags, rt.argVec(fs, ins.Args[predIdx]), lo, d)
+			maxInto(out, tags, rt.argVec(fs, ins.Args[predIdx]), lo, d, 0)
 		}
 		// Induction phi: dependence on the carried value is broken; only the
 		// control time remains.
 	case ir.OpLoad:
-		maxInto(out, tags, rt.argVec(fs, ins.Args[0]), lo, d) // address computation
-		maxIntoSlot(out, tags, rt.mem.Load(addr), lo, d)
+		maxInto(out, tags, rt.argVec(fs, ins.Args[0]), lo, d, 0) // address computation
+		maxIntoSlot(out, tags, rt.mem.Load(addr), lo, d, 0)
 	default:
 		for i, a := range ins.Args {
 			if i == ins.BreakArg {
 				continue // induction/reduction old-value dependence: ignored
 			}
-			maxInto(out, tags, rt.argVec(fs, a), lo, d)
+			maxInto(out, tags, rt.argVec(fs, a), lo, d, 0)
 		}
 		switch ins.Builtin {
 		case "rand", "frand", "srand":
-			maxInto(out, tags, rt.randVec, lo, d)
+			maxInto(out, tags, rt.randVec, lo, d, 0)
 		case "printval", "printstr", "printnl":
-			maxInto(out, tags, rt.ioVec, lo, d)
+			maxInto(out, tags, rt.ioVec, lo, d, 0)
 		}
 	}
 

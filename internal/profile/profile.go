@@ -53,6 +53,9 @@ const RawRecordBytes = 28
 type Dict struct {
 	Entries []Entry
 	index   map[string]int32
+	// key and kids are InternRuns' reusable encoding buffers.
+	key  []byte
+	kids []Child
 
 	// RawCount is the number of dynamic region summaries interned,
 	// i.e. the record count of the equivalent uncompressed trace.
@@ -84,7 +87,8 @@ func (d *Dict) Intern(staticID int32, work, cp uint64, children map[int32]int64)
 // with a different interleaving is a different entry. runs is not retained.
 func (d *Dict) InternRuns(staticID int32, work, cp uint64, runs []Child) int32 {
 	d.RawCount++
-	kids := make([]Child, 0, len(runs))
+	// Normalize and encode into reusable buffers: a hit allocates nothing.
+	kids := d.kids[:0]
 	for _, r := range runs {
 		if r.Count == 0 {
 			continue
@@ -95,32 +99,22 @@ func (d *Dict) InternRuns(staticID int32, work, cp uint64, runs []Child) int32 {
 			kids = append(kids, r)
 		}
 	}
-
-	key := makeKey(staticID, work, cp, kids)
-	if c, ok := d.index[key]; ok {
+	d.kids = kids
+	key := binary.AppendUvarint(d.key[:0], uint64(staticID))
+	key = binary.AppendUvarint(key, work)
+	key = binary.AppendUvarint(key, cp)
+	for _, k := range kids {
+		key = binary.AppendUvarint(key, uint64(k.Char))
+		key = binary.AppendUvarint(key, uint64(k.Count))
+	}
+	d.key = key
+	if c, ok := d.index[string(key)]; ok {
 		return c
 	}
 	c := int32(len(d.Entries))
-	d.Entries = append(d.Entries, Entry{StaticID: staticID, Work: work, CP: cp, Children: kids})
-	d.index[key] = c
+	d.Entries = append(d.Entries, Entry{StaticID: staticID, Work: work, CP: cp, Children: append(make([]Child, 0, len(kids)), kids...)})
+	d.index[string(key)] = c
 	return c
-}
-
-func makeKey(staticID int32, work, cp uint64, kids []Child) string {
-	buf := make([]byte, 0, 20+len(kids)*12)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	put(uint64(staticID))
-	put(work)
-	put(cp)
-	for _, k := range kids {
-		put(uint64(k.Char))
-		put(uint64(k.Count))
-	}
-	return string(buf)
 }
 
 // Profile is a complete parallelism profile: the dictionary plus one root

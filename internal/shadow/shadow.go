@@ -311,6 +311,20 @@ func (t *RegisterTable) Set(id int, src Vec, n int) {
 	t.vecs[id] = dst
 }
 
+// Dest returns value id's vector resized to n entries, for the caller to
+// overwrite in place (contents undefined), reusing storage.
+func (t *RegisterTable) Dest(id, n int) Vec {
+	dst := t.vecs[id]
+	if cap(dst) < n {
+		dst = make(Vec, n, n+4)
+		t.vecs[id] = dst
+	} else if len(dst) != n {
+		dst = dst[:n]
+		t.vecs[id] = dst
+	}
+	return dst
+}
+
 // Reset empties the table and resizes it for n values, keeping each slot's
 // storage for reuse (a zero-length vector reads as all-zero times). Used
 // by the frame pool: a recycled frame must not read the previous frame's

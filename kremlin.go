@@ -111,8 +111,9 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (want vm or tree)", s)
 }
 
-// Bytecode returns the program's compiled bytecode, lowering the module on
-// first use (cached; safe for concurrent callers).
+// Bytecode returns the program's compiled bytecode, prepared on first use
+// (cached; safe for concurrent callers). Each function lowers to bytecode
+// on its first call; bytecode.Verify lowers them all.
 func (p *Program) Bytecode() *bytecode.Program {
 	p.bcOnce.Do(func() {
 		facts := p.Absint
